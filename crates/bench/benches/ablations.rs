@@ -5,7 +5,7 @@ use cbs_core::QepProblem;
 use cbs_dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs_linalg::{c64, CVector, Complex64};
 use cbs_solver::{bicg, bicg_dual, SolverOptions};
-use cbs_sparse::LinearOperator;
+use cbs_sparse::{IdentityOp, LinearOperator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 
@@ -26,7 +26,8 @@ fn bench_ablations(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("dual_bicg_single_sweep", |b| {
         let op = problem.operator(z);
-        b.iter(|| bicg_dual(&op, &v, &v, &opts, None));
+        let id = IdentityOp::new(n);
+        b.iter(|| bicg_dual(&op, &id, &v, &v, None, &opts, None));
     });
     group.bench_function("two_independent_solves", |b| {
         let op_outer = problem.operator(z);

@@ -19,18 +19,21 @@
 //! the dual BiCG from `cbs-solver`, exploiting `P(z)† = P(1/z̄)` so only the
 //! outer-circle systems are ever iterated.
 //!
-//! The `N_int x N_rh` independent shifted solves run through the
-//! [`ShiftedSolveEngine`], which is generic over both the operator family
-//! (any `cbs_sparse::LinearOperator`) and the execution strategy (any
-//! `cbs_parallel::TaskExecutor`); [`solve_qep_with`] / [`compute_cbs_with`]
-//! expose the executor choice, and the plain [`solve_qep`] /
-//! [`compute_cbs`] entry points default to serial execution.
+//! The `N_int x N_rh` independent shifted solves run through one path,
+//! [`solve_pool`]: one job per quadrature node, all `N_rh` right-hand sides
+//! advanced together by `cbs_solver::bicg_dual_block` on the node operator
+//! and preconditioner [`QepProblem::node_solve`] resolves from the
+//! [`PrecondPolicy`], dispatched through any `cbs_parallel::TaskExecutor`.
+//! A single contour ([`solve_qep_with`]) is a one-group pool; a sliced
+//! contour or a sweep's energies are many groups in one pool.
+//! [`solve_qep_with`] / [`compute_cbs_with`] expose the executor choice, and
+//! the plain [`solve_qep`] / [`compute_cbs`] entry points default to serial
+//! execution.
 
 #![warn(missing_docs)]
 
 pub mod cbs;
 pub mod contour;
-pub mod engine;
 pub mod partition;
 pub mod pool;
 pub mod qep;
@@ -41,13 +44,9 @@ pub use cbs::{
     ComplexBandStructure, PROPAGATING_TOLERANCE,
 };
 pub use contour::{ContourError, QuadraturePoint, RingContour};
-pub use engine::{
-    BlockPolicy, PrecondPolicy, SeedProvider, ShiftedSolveEngine, ShiftedSolveJob,
-    ShiftedSolveOutcome, ShiftedSolveReport, ShiftedSolveStats, StoredSeeds,
-};
 pub use partition::{ContourPartition, ContourSlice, SliceNode, SlicePolicy, SliceRegion};
-pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy};
-pub use qep::{QepNodeOp, QepNodePrecond, QepOperator, QepProblem};
+pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
+pub use qep::{PrecondPolicy, QepNodeOp, QepNodePrecond, QepOperator, QepProblem};
 pub use ss::{
     extract_from_moments, extract_sliced, merge_claimed, solve_qep, solve_qep_sliced,
     solve_qep_sliced_with, solve_qep_with, source_block, AutoCell, MomentAccumulator, QepEigenpair,

@@ -151,7 +151,7 @@ impl SlicePolicy {
     }
 
     /// Read the policy from an environment variable (mirrors
-    /// [`BlockPolicy::from_env`](crate::BlockPolicy::from_env)): `"S"`
+    /// [`PrecondPolicy::from_env`](crate::PrecondPolicy::from_env)): `"S"`
     /// selects `sectors(S)`, `"AxR"` selects `A` angular times `R` radial
     /// slices; anything else — including unset — is the default single
     /// contour.

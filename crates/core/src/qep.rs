@@ -16,11 +16,143 @@ use std::sync::OnceLock;
 
 use cbs_linalg::{CVector, Complex64};
 use cbs_sparse::{
-    AssembledOp, AssembledPattern, FactoredProjector, Ilu0, LinearOperator, Preconditioner,
-    SmwPrecond,
+    AssembledOp, AssembledPattern, FactoredProjector, IdentityOp, Ilu0, LinearOperator,
+    Preconditioner, SmwPrecond,
 };
 
-use crate::engine::PrecondPolicy;
+/// How the shifted operator `P(z)` is represented — and whether its solves
+/// are preconditioned.
+///
+/// The policies are **not** bitwise-interchangeable: the assembled operator
+/// sums the three Hamiltonian contributions per entry (instead of per
+/// application) and ILU(0) changes the Krylov trajectory entirely.  What every policy preserves is the solution contract (relative
+/// residual ≤ tolerance) and serial ≡ rayon bit-identity *within* the
+/// policy; the [`MatrixFree`](Self::MatrixFree) path is bitwise unchanged
+/// from before this knob existed.
+///
+/// `PrecondPolicy::default()` (and the `CBS_PRECOND` fallback) stays
+/// [`MatrixFree`](Self::MatrixFree) — the historical baseline that old
+/// checkpoints and unset env knobs resolve to.  `SsConfig::default()`
+/// however selects [`Assembled`](Self::Assembled): every assembled row of
+/// the tracked sweep bench beats matrix-free wall-clock (see
+/// `BENCH_sweep.json`), and problems without an attached pattern fall back
+/// to matrix-free bitwise-unchanged.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum PrecondPolicy {
+    /// Apply `P(z)` matrix-free (three storage traversals per application:
+    /// `H₀₀`, `H₀₁`, `H₀₁†`), unpreconditioned.  The historical default.
+    #[default]
+    MatrixFree,
+    /// Materialize `P(z)` once per quadrature node as a single CSR by
+    /// numeric refill of the shared `cbs_sparse::AssembledPattern` — one
+    /// storage traversal per application — still unpreconditioned.
+    Assembled,
+    /// The assembled operator plus a complex ILU(0) factorization per node,
+    /// applied as a preconditioner on both the primal (`M⁻¹`) and dual
+    /// (`M⁻†`, i.e. the `P(1/z̄)` side) recurrences — the iteration-count
+    /// lever on top of the traversal lever.
+    AssembledIlu0,
+    /// [`AssembledIlu0`](Self::AssembledIlu0) completed by a
+    /// Sherman-Morrison-Woodbury correction for the factored low-rank
+    /// projector tail (`cbs_sparse::SmwPrecond`): the preconditioner
+    /// approximates the *full* `P(z)` instead of only its assembled CSR
+    /// part.  Falls back to plain [`AssembledIlu0`](Self::AssembledIlu0)
+    /// bitwise when no projector is attached (rank 0) or the capacitance
+    /// matrix is singular.  Appended last so existing checkpoint
+    /// fingerprints (which fold in the discriminant) are unchanged.
+    AssembledIlu0Smw,
+}
+
+impl PrecondPolicy {
+    /// Read the policy from an environment variable (mirrors
+    /// `cbs_parallel::ExecutorChoice::from_env`): `"assembled"` / `"asm"`
+    /// select [`Assembled`](Self::Assembled), `"assembled-ilu0"` / `"ilu0"` /
+    /// `"ilu"` select [`AssembledIlu0`](Self::AssembledIlu0); unset keeps
+    /// the [`MatrixFree`](Self::MatrixFree) env fallback and a malformed
+    /// value warns once and does the same (via [`cbs_trace::knob()`]).
+    pub fn from_env(var: &str) -> Self {
+        cbs_trace::knob(var).unwrap_or(Self::MatrixFree)
+    }
+
+    /// Strictly parse a policy name (the `from_env` value syntax); `None`
+    /// for unrecognized names.
+    pub fn try_from_name(name: &str) -> Option<Self> {
+        if name.eq_ignore_ascii_case("assembled-ilu0-smw")
+            || name.eq_ignore_ascii_case("assembled_ilu0_smw")
+            || name.eq_ignore_ascii_case("ilu0-smw")
+            || name.eq_ignore_ascii_case("ilu0_smw")
+            || name.eq_ignore_ascii_case("smw")
+        {
+            Some(Self::AssembledIlu0Smw)
+        } else if name.eq_ignore_ascii_case("assembled-ilu0")
+            || name.eq_ignore_ascii_case("assembled_ilu0")
+            || name.eq_ignore_ascii_case("ilu0")
+            || name.eq_ignore_ascii_case("ilu")
+        {
+            Some(Self::AssembledIlu0)
+        } else if name.eq_ignore_ascii_case("assembled") || name.eq_ignore_ascii_case("asm") {
+            Some(Self::Assembled)
+        } else if name.eq_ignore_ascii_case("matrix-free")
+            || name.eq_ignore_ascii_case("matrixfree")
+            || name.eq_ignore_ascii_case("mf")
+        {
+            Some(Self::MatrixFree)
+        } else {
+            None
+        }
+    }
+
+    /// Parse a policy name (the `from_env` value syntax); unrecognized
+    /// names fall back to the default [`MatrixFree`](Self::MatrixFree).
+    pub fn from_name(name: &str) -> Self {
+        Self::try_from_name(name).unwrap_or(Self::MatrixFree)
+    }
+
+    /// Short name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::MatrixFree => "matrix-free",
+            Self::Assembled => "assembled",
+            Self::AssembledIlu0 => "assembled-ilu0",
+            Self::AssembledIlu0Smw => "assembled-ilu0-smw",
+        }
+    }
+
+    /// `true` for the policies that materialize the assembled CSR.
+    pub fn is_assembled(self) -> bool {
+        !matches!(self, Self::MatrixFree)
+    }
+
+    /// The policy's code in trace span contexts — the
+    /// [`cbs_trace::policy_name`] contract: 0 = matrix-free, 1 = assembled,
+    /// 2 = assembled-ilu0, 3 = assembled-ilu0-smw.
+    pub fn trace_code(self) -> u8 {
+        match self {
+            Self::MatrixFree => 0,
+            Self::Assembled => 1,
+            Self::AssembledIlu0 => 2,
+            Self::AssembledIlu0Smw => 3,
+        }
+    }
+
+    /// Decode the serialized discriminant (checkpoint format; same codes
+    /// as [`trace_code`](Self::trace_code)); `None` for unknown values.
+    pub fn from_index(index: u64) -> Option<Self> {
+        match index {
+            0 => Some(Self::MatrixFree),
+            1 => Some(Self::Assembled),
+            2 => Some(Self::AssembledIlu0),
+            3 => Some(Self::AssembledIlu0Smw),
+            _ => None,
+        }
+    }
+}
+
+impl cbs_trace::Knob for PrecondPolicy {
+    fn parse_knob(value: &str) -> Option<Self> {
+        Self::try_from_name(value)
+    }
+}
 
 /// The QEP `P(λ)ψ = 0` for a fixed scan energy.
 pub struct QepProblem<'a> {
@@ -136,12 +268,14 @@ impl<'a> QepProblem<'a> {
     }
 
     /// The per-node solve context under a [`PrecondPolicy`]: the operator
-    /// representation of `P(z)` plus an optional preconditioner.
+    /// representation of `P(z)` plus its preconditioner — the one place the
+    /// policy is dispatched.
     ///
-    /// * [`PrecondPolicy::MatrixFree`] — the matrix-free view, no
-    ///   preconditioner (bitwise the historical path).
+    /// * [`PrecondPolicy::MatrixFree`] — the matrix-free view with the
+    ///   identity preconditioner (plain BiCG, bitwise the historical path).
     /// * [`PrecondPolicy::Assembled`] — numeric refill of the shared
-    ///   pattern into one CSR (one traversal per apply instead of three).
+    ///   pattern into one CSR (one traversal per apply instead of three),
+    ///   identity preconditioner.
     /// * [`PrecondPolicy::AssembledIlu0`] — the assembled CSR plus its
     ///   ILU(0), whose adjoint triangular solves precondition the dual
     ///   (`P(1/z̄)`) recurrence from the same factorization.
@@ -157,18 +291,19 @@ impl<'a> QepProblem<'a> {
         &self,
         policy: PrecondPolicy,
         z: Complex64,
-    ) -> (QepNodeOp<'a, '_>, Option<QepNodePrecond<'a>>) {
+    ) -> (QepNodeOp<'a, '_>, QepNodePrecond<'a>) {
+        let identity = QepNodePrecond::Identity(IdentityOp::new(self.dim()));
         match (policy, self.pattern) {
             (PrecondPolicy::MatrixFree, _) | (_, None) => {
-                (QepNodeOp::MatrixFree(self.operator(z)), None)
+                (QepNodeOp::MatrixFree(self.operator(z)), identity)
             }
             (PrecondPolicy::Assembled, Some(pattern)) => {
-                (self.wrap_assembled(pattern.assemble(self.energy, z)), None)
+                (self.wrap_assembled(pattern.assemble(self.energy, z)), identity)
             }
             (PrecondPolicy::AssembledIlu0, Some(pattern)) => {
                 let op = pattern.assemble(self.energy, z);
                 let ilu = op.ilu0();
-                (self.wrap_assembled(op), Some(QepNodePrecond::Ilu0(ilu)))
+                (self.wrap_assembled(op), QepNodePrecond::Ilu0(ilu))
             }
             (PrecondPolicy::AssembledIlu0Smw, Some(pattern)) => {
                 let op = pattern.assemble(self.energy, z);
@@ -176,7 +311,7 @@ impl<'a> QepProblem<'a> {
                     Some(proj) if !proj.is_empty() => QepNodePrecond::Smw(op.ilu0_smw(proj)),
                     _ => QepNodePrecond::Ilu0(op.ilu0()),
                 };
-                (self.wrap_assembled(op), Some(prec))
+                (self.wrap_assembled(op), prec)
             }
         }
     }
@@ -368,12 +503,16 @@ impl QepNodeOp<'_, '_> {
 }
 
 /// The per-node preconditioner resolved from a [`PrecondPolicy`] by
-/// [`QepProblem::node_solve`]: the plain assembled ILU(0), or the ILU(0)
-/// completed by the Sherman-Morrison-Woodbury projector correction
-/// ([`cbs_sparse::SmwPrecond`]).  Delegates every [`Preconditioner`]
-/// method — including the blocked multi-RHS entry points — unchanged, so
-/// the bitwise contracts of the underlying applies carry through.
+/// [`QepProblem::node_solve`]: the identity (no preconditioning), the plain
+/// assembled ILU(0), or the ILU(0) completed by the Sherman-Morrison-Woodbury
+/// projector correction ([`cbs_sparse::SmwPrecond`]).  Delegates every
+/// [`Preconditioner`] method — including the blocked multi-RHS entry
+/// points — unchanged, so the bitwise contracts of the underlying applies
+/// carry through.
 pub enum QepNodePrecond<'a> {
+    /// No preconditioning (`z = r`): the matrix-free and plain assembled
+    /// policies.
+    Identity(IdentityOp),
     /// Plain ILU(0) of the assembled CSR part.
     Ilu0(Ilu0<'a>),
     /// ILU(0) plus the SMW low-rank completion (`M ≈ P(z)` in full).
@@ -391,30 +530,35 @@ impl QepNodePrecond<'_> {
 impl Preconditioner for QepNodePrecond<'_> {
     fn dim(&self) -> usize {
         match self {
+            Self::Identity(p) => Preconditioner::dim(p),
             Self::Ilu0(p) => p.dim(),
             Self::Smw(p) => p.dim(),
         }
     }
     fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
         match self {
+            Self::Identity(p) => p.solve(r, z),
             Self::Ilu0(p) => p.solve(r, z),
             Self::Smw(p) => p.solve(r, z),
         }
     }
     fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
         match self {
+            Self::Identity(p) => p.solve_adjoint(r, z),
             Self::Ilu0(p) => p.solve_adjoint(r, z),
             Self::Smw(p) => p.solve_adjoint(r, z),
         }
     }
     fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         match self {
+            Self::Identity(p) => p.solve_block(r, z, nvecs),
             Self::Ilu0(p) => p.solve_block(r, z, nvecs),
             Self::Smw(p) => p.solve_block(r, z, nvecs),
         }
     }
     fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         match self {
+            Self::Identity(p) => p.solve_adjoint_block(r, z, nvecs),
             Self::Ilu0(p) => p.solve_adjoint_block(r, z, nvecs),
             Self::Smw(p) => p.solve_adjoint_block(r, z, nvecs),
         }
@@ -691,7 +835,6 @@ mod tests {
 
     #[test]
     fn node_solve_dispatches_on_policy_and_pattern() {
-        use crate::engine::PrecondPolicy;
         let n = 9;
         let (h00, h01) = random_blocks(n, 411);
         let csr00 = cbs_sparse::CsrMatrix::from_dense(&h00, 0.0);
@@ -711,7 +854,7 @@ mod tests {
         ] {
             let (op, prec) = bare.node_solve(policy, z);
             assert!(!op.is_assembled());
-            assert!(prec.is_none());
+            assert!(matches!(prec, QepNodePrecond::Identity(_)));
             assert_eq!(op.traversal_weight(), 3);
         }
 
@@ -731,9 +874,12 @@ mod tests {
             let (op, prec) = with.node_solve(policy, z);
             assert!(op.is_assembled());
             assert_eq!(op.traversal_weight(), 1);
-            assert_eq!(prec.is_some(), policy != PrecondPolicy::Assembled);
+            assert_eq!(
+                matches!(prec, QepNodePrecond::Identity(_)),
+                policy == PrecondPolicy::Assembled
+            );
             // No projector attached: the SMW policy degrades to plain ILU(0).
-            assert!(!prec.as_ref().is_some_and(QepNodePrecond::is_smw_complete));
+            assert!(!prec.is_smw_complete());
             let y = op.apply_vec(&x);
             assert!(
                 (&y - &y_free).norm() < 1e-11 * (1.0 + y_free.norm()),
@@ -751,7 +897,6 @@ mod tests {
 
     #[test]
     fn factored_projector_node_matches_dense_expansion() {
-        use crate::engine::PrecondPolicy;
         use cbs_sparse::{CsrMatrix, FactoredProjector, LowRankOp, SparseVec};
         let n = 10;
         let (h00d, h01d) = random_blocks(n, 413);
@@ -793,13 +938,13 @@ mod tests {
             let (op_fact, prec) = factored.node_solve(policy, z);
             assert!(op_fact.is_assembled());
             assert!(matches!(op_fact, QepNodeOp::Factored(..)));
-            assert_eq!(prec.is_some(), policy != PrecondPolicy::Assembled);
+            assert_eq!(
+                matches!(prec, QepNodePrecond::Identity(_)),
+                policy == PrecondPolicy::Assembled
+            );
             // With a non-empty projector, the SMW policy completes the
             // preconditioner with the low-rank tail.
-            assert_eq!(
-                prec.as_ref().is_some_and(QepNodePrecond::is_smw_complete),
-                policy == PrecondPolicy::AssembledIlu0Smw
-            );
+            assert_eq!(prec.is_smw_complete(), policy == PrecondPolicy::AssembledIlu0Smw);
             assert!(op_fact.memory_bytes() > 0);
             for nvecs in [1usize, 3] {
                 let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
@@ -826,6 +971,35 @@ mod tests {
                 assert!(err < 1e-12 * (1.0 + norm), "factored P(z)† drifted: {err}");
             }
         }
+    }
+
+    #[test]
+    fn precond_policy_env_knob_parses_like_the_other_knobs() {
+        assert_eq!(
+            PrecondPolicy::from_env("CBS_PRECOND_TEST_UNSET_VAR"),
+            PrecondPolicy::MatrixFree
+        );
+        assert_eq!(PrecondPolicy::from_name("assembled"), PrecondPolicy::Assembled);
+        assert_eq!(PrecondPolicy::from_name("ASM"), PrecondPolicy::Assembled);
+        assert_eq!(PrecondPolicy::from_name("assembled-ilu0"), PrecondPolicy::AssembledIlu0);
+        assert_eq!(PrecondPolicy::from_name("assembled_ilu0"), PrecondPolicy::AssembledIlu0);
+        assert_eq!(PrecondPolicy::from_name("ilu"), PrecondPolicy::AssembledIlu0);
+        assert_eq!(PrecondPolicy::from_name("ILU0"), PrecondPolicy::AssembledIlu0);
+        assert_eq!(PrecondPolicy::from_name("assembled-ilu0-smw"), PrecondPolicy::AssembledIlu0Smw);
+        assert_eq!(PrecondPolicy::from_name("assembled_ilu0_smw"), PrecondPolicy::AssembledIlu0Smw);
+        assert_eq!(PrecondPolicy::from_name("ilu0-smw"), PrecondPolicy::AssembledIlu0Smw);
+        assert_eq!(PrecondPolicy::from_name("SMW"), PrecondPolicy::AssembledIlu0Smw);
+        assert_eq!(PrecondPolicy::from_name("anything-else"), PrecondPolicy::MatrixFree);
+        assert_eq!(PrecondPolicy::MatrixFree.name(), "matrix-free");
+        assert_eq!(PrecondPolicy::Assembled.name(), "assembled");
+        assert_eq!(PrecondPolicy::AssembledIlu0.name(), "assembled-ilu0");
+        assert_eq!(PrecondPolicy::AssembledIlu0Smw.name(), "assembled-ilu0-smw");
+        assert!(!PrecondPolicy::MatrixFree.is_assembled());
+        assert!(PrecondPolicy::Assembled.is_assembled());
+        assert!(PrecondPolicy::AssembledIlu0.is_assembled());
+        assert!(PrecondPolicy::AssembledIlu0Smw.is_assembled());
+        assert_eq!(PrecondPolicy::AssembledIlu0Smw.trace_code(), 3);
+        assert_eq!(PrecondPolicy::default(), PrecondPolicy::MatrixFree);
     }
 
     #[test]

@@ -252,7 +252,7 @@ mod tests {
         let op00 = DenseOp::new(h00_csr.to_dense());
         let op01 = DenseOp::new(h01_csr.to_dense());
         let qep = QepProblem::new(&op00, &op01, energy, h.period());
-        // Cross-check through the threaded executor: the engine guarantees
+        // Cross-check through the threaded executor: the pool guarantees
         // results identical to the serial path, so this doubles as an
         // integration check of the fan-out.
         let ss = solve_qep_with(

@@ -5,18 +5,22 @@
 //! quadrature node `z_j` owns `N_rh` independent systems `P(z_j) x = v_r`
 //! that share the operator.  Solving them one at a time re-reads the sparse
 //! operator storage `N_rh` times per iteration set; [`bicg_dual_block`]
-//! instead keeps one BiCG recurrence per column (its own `α`, `β`, `ρ`)
-//! and performs the primal and adjoint matvecs of all still-active columns
-//! through a single [`LinearOperator::apply_block`] traversal.
+//! instead keeps one preconditioned BiCG recurrence per column (its own
+//! `α`, `β`, `ρ`) and performs the primal and adjoint matvecs of all
+//! still-active columns through a single [`LinearOperator::apply_block`]
+//! traversal, and their preconditioner applies through one
+//! [`Preconditioner::solve_block`] pass.  "No preconditioner" is
+//! `cbs_sparse::IdentityOp`, which copies `r` into `z` and so runs plain
+//! BiCG bit for bit.
 //!
 //! Two contracts make the block path freely substitutable for the
 //! per-column one:
 //!
-//! * **Bitwise column parity.** Because `apply_block` is bit-identical to
-//!   column-by-column `apply` and each column carries an independent
-//!   recurrence, every column's solution, residual history, stop reason and
-//!   matvec count are **bit-identical** to a standalone
-//!   [`bicg_dual_seeded`](crate::bicg_dual_seeded) call on that column —
+//! * **Bitwise column parity.** Because `apply_block` / `solve_block` are
+//!   bit-identical to column-by-column `apply` / `solve` and each column
+//!   carries an independent recurrence, every column's solution, residual
+//!   history, stop reason and matvec count are **bit-identical** to a
+//!   standalone [`bicg_dual`](crate::bicg_dual) call on that column —
 //!   deflation included (a converged column freezes at exactly the state
 //!   the standalone solve would have returned).
 //! * **Slot-stable deflation.** A converged (or broken-down, or externally
@@ -28,18 +32,19 @@
 //! the number of operator storage walks performed (each block apply counts
 //! one), which drops from `Σ_c matvecs_c` to roughly `2 · max_c iters_c`.
 
+use cbs_linalg::vector::{axpy, dotc};
 use cbs_linalg::{CVector, Complex64};
 use cbs_sparse::{LinearOperator, Preconditioner};
 
-use crate::bicg::BicgResult;
+use crate::bicg::{usable, BicgResult};
 use crate::history::{ConvergenceHistory, SolverOptions, StopReason};
 
 /// Result of a batched dual BiCG solve.
 #[derive(Clone, Debug)]
 pub struct BlockBicgResult {
     /// Per-column results in input order, each bit-identical to a
-    /// standalone [`bicg_dual_seeded`](crate::bicg_dual_seeded) call on
-    /// that column (matvec counts included).
+    /// standalone [`bicg_dual`](crate::bicg_dual) call on that column
+    /// (matvec counts included).
     pub columns: Vec<BicgResult>,
     /// Number of operator-storage traversals performed: every fused block
     /// apply (primal or adjoint, any number of active columns) counts the
@@ -63,7 +68,9 @@ impl BlockBicgResult {
     }
 }
 
-/// Per-column recurrence state.
+/// Per-column recurrence state.  The matvec outputs `q = A p`, `q̃ = A† p̃`
+/// and the preconditioned residuals `z`, `z̃` live only in the shared slabs
+/// of the iteration that produced them.
 struct Column {
     x: CVector,
     xt: CVector,
@@ -71,8 +78,6 @@ struct Column {
     rt: CVector,
     p: CVector,
     pt: CVector,
-    q: CVector,
-    qt: CVector,
     b_norm: f64,
     bt_norm: f64,
     res: f64,
@@ -83,295 +88,41 @@ struct Column {
     matvecs: usize,
     stop: StopReason,
     active: bool,
+}
+
+/// Copy `v` into column `slot` of a slab of `v.len()`-long columns.
+fn gather(slab: &mut [Complex64], slot: usize, v: &CVector) {
+    let n = v.len();
+    slab[slot * n..(slot + 1) * n].copy_from_slice(v.as_slice());
+}
+
+/// Resize `slab` to `nvecs` columns of length `n`.  Stale values are kept:
+/// every slab is fully overwritten before it is read (by `gather`, and by
+/// the operator and preconditioner applies, whose contracts overwrite
+/// their outputs).
+fn reset(slab: &mut Vec<Complex64>, n: usize, nvecs: usize) {
+    slab.resize(n * nvecs, Complex64::ZERO);
 }
 
 /// Solve `A x_c = b_c` and `A† x̃_c = b̃_c` for all columns `c` in lockstep
-/// with fused block matvecs.
+/// with fused block matvecs and blocked preconditioner applies `M ≈ A`.
 ///
-/// `seeds`, when present, supplies an optional warm-start pair `(x₀, x̃₀)`
-/// per column (same semantics as [`bicg_dual_seeded`](crate::bicg_dual_seeded);
-/// `None` entries run cold, and the two seed-residual applications are
-/// fused over the seeded columns).  `external_stop` is consulted once per
-/// lockstep iteration for every still-active column, matching the
-/// per-column solver's behaviour because all columns share the iteration
-/// counter.
-pub fn bicg_dual_block<A: LinearOperator + ?Sized>(
+/// Every column runs the recurrence of the scalar reference
+/// [`bicg_dual`](crate::bicg_dual), bit for bit.  `seeds`, when present,
+/// supplies an optional warm-start pair `(x₀, x̃₀)` per column (`None`
+/// entries run cold; the two seed-residual applications are fused over the
+/// seeded columns).  `external_stop` is consulted once per lockstep
+/// iteration for every still-active column, matching the per-column
+/// solver's behaviour because all columns share the iteration counter.
+pub fn bicg_dual_block<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
     a: &A,
+    m: &M,
     b: &[CVector],
     b_dual: &[CVector],
     seeds: Option<&[Option<(&CVector, &CVector)>]>,
     opts: &SolverOptions,
     external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
 ) -> BlockBicgResult {
-    let n = a.dim();
-    let nvecs = b.len();
-    assert_eq!(b_dual.len(), nvecs, "dual rhs count mismatch");
-    if let Some(s) = seeds {
-        assert_eq!(s.len(), nvecs, "seed count mismatch");
-    }
-    let weight = a.traversal_weight();
-    let mut traversals = 0usize;
-
-    // --- Initial state, with the seed residuals r₀ = b - A x₀ computed
-    // through two fused block applies over the seeded columns. ------------
-    let seeded: Vec<usize> =
-        (0..nvecs).filter(|&c| seeds.is_some_and(|s| s[c].is_some())).collect();
-    let mut seed_r: Vec<CVector> = Vec::new();
-    let mut seed_rt: Vec<CVector> = Vec::new();
-    if !seeded.is_empty() {
-        let s = seeds.expect("seeded columns imply a seed table");
-        let mut x_slab = vec![Complex64::ZERO; n * seeded.len()];
-        let mut y_slab = vec![Complex64::ZERO; n * seeded.len()];
-        for (slot, &c) in seeded.iter().enumerate() {
-            let (x0, _) = s[c].expect("listed as seeded");
-            assert_eq!(x0.len(), n, "primal seed length mismatch");
-            x_slab[slot * n..(slot + 1) * n].copy_from_slice(x0.as_slice());
-        }
-        a.apply_block(&x_slab, &mut y_slab, seeded.len());
-        traversals += weight;
-        seed_r = seeded
-            .iter()
-            .enumerate()
-            .map(|(slot, &c)| {
-                let mut r = CVector::zeros(n);
-                for i in 0..n {
-                    r[i] = b[c][i] - y_slab[slot * n + i];
-                }
-                r
-            })
-            .collect();
-        for (slot, &c) in seeded.iter().enumerate() {
-            let (_, xt0) = s[c].expect("listed as seeded");
-            assert_eq!(xt0.len(), n, "dual seed length mismatch");
-            x_slab[slot * n..(slot + 1) * n].copy_from_slice(xt0.as_slice());
-        }
-        a.apply_adjoint_block(&x_slab, &mut y_slab, seeded.len());
-        traversals += weight;
-        seed_rt = seeded
-            .iter()
-            .enumerate()
-            .map(|(slot, &c)| {
-                let mut rt = CVector::zeros(n);
-                for i in 0..n {
-                    rt[i] = b_dual[c][i] - y_slab[slot * n + i];
-                }
-                rt
-            })
-            .collect();
-    }
-
-    let mut cols: Vec<Column> = (0..nvecs)
-        .map(|c| {
-            assert_eq!(b[c].len(), n, "rhs length mismatch");
-            assert_eq!(b_dual[c].len(), n, "dual rhs length mismatch");
-            let seed = seeds.and_then(|s| s[c]);
-            let (x, xt, r, rt, matvecs) = match seed {
-                None => (CVector::zeros(n), CVector::zeros(n), b[c].clone(), b_dual[c].clone(), 0),
-                Some((x0, xt0)) => {
-                    let slot = seeded.iter().position(|&s| s == c).expect("seeded slot");
-                    (x0.clone(), xt0.clone(), seed_r[slot].clone(), seed_rt[slot].clone(), 2)
-                }
-            };
-            let p = r.clone();
-            let pt = rt.clone();
-            let b_norm = b[c].norm().max(1e-300);
-            let bt_norm = b_dual[c].norm().max(1e-300);
-            let res = r.norm() / b_norm;
-            let res_dual = rt.norm() / bt_norm;
-            cbs_trace::record_iteration(Some(c), 0, res);
-            let mut history = Vec::new();
-            let mut dual_history = Vec::new();
-            if opts.record_history {
-                history.push(res);
-                dual_history.push(res_dual);
-            }
-            let rho = rt.dot(&r);
-            Column {
-                x,
-                xt,
-                r,
-                rt,
-                p,
-                pt,
-                q: CVector::zeros(n),
-                qt: CVector::zeros(n),
-                b_norm,
-                bt_norm,
-                res,
-                res_dual,
-                history,
-                dual_history,
-                rho,
-                matvecs,
-                stop: StopReason::MaxIterations,
-                active: true,
-            }
-        })
-        .collect();
-
-    // --- Lockstep iteration: per-column recurrences, fused matvecs. -------
-    let mut p_slab: Vec<Complex64> = Vec::new();
-    let mut q_slab: Vec<Complex64> = Vec::new();
-    for iter in 0..opts.max_iterations {
-        // Top-of-loop checks, in the exact order of the per-column solver:
-        // convergence, external stop, ρ breakdown.  A column that trips one
-        // freezes in place (deflation) but keeps its slot.
-        for col in cols.iter_mut().filter(|c| c.active) {
-            if col.res <= opts.tolerance && col.res_dual <= opts.tolerance {
-                col.stop = StopReason::Converged;
-                col.active = false;
-            } else if external_stop.is_some_and(|cb| cb(iter)) {
-                col.stop = StopReason::ExternalStop;
-                col.active = false;
-            } else if col.rho.abs() < 1e-290 {
-                col.stop = StopReason::Breakdown;
-                col.active = false;
-            }
-        }
-        let active: Vec<usize> = (0..nvecs).filter(|&c| cols[c].active).collect();
-        if active.is_empty() {
-            break;
-        }
-
-        // Fused matvecs over the active columns only.
-        let na = active.len();
-        p_slab.clear();
-        p_slab.resize(n * na, Complex64::ZERO);
-        q_slab.clear();
-        q_slab.resize(n * na, Complex64::ZERO);
-        for (slot, &c) in active.iter().enumerate() {
-            p_slab[slot * n..(slot + 1) * n].copy_from_slice(cols[c].p.as_slice());
-        }
-        a.apply_block(&p_slab, &mut q_slab, na);
-        traversals += weight;
-        for (slot, &c) in active.iter().enumerate() {
-            cols[c].q.as_mut_slice().copy_from_slice(&q_slab[slot * n..(slot + 1) * n]);
-        }
-        for (slot, &c) in active.iter().enumerate() {
-            p_slab[slot * n..(slot + 1) * n].copy_from_slice(cols[c].pt.as_slice());
-        }
-        a.apply_adjoint_block(&p_slab, &mut q_slab, na);
-        traversals += weight;
-        for (slot, &c) in active.iter().enumerate() {
-            cols[c].qt.as_mut_slice().copy_from_slice(&q_slab[slot * n..(slot + 1) * n]);
-        }
-
-        // Per-column recurrence updates, identical to the scalar solver.
-        for &c in &active {
-            let col = &mut cols[c];
-            col.matvecs += 2;
-            let denom = col.pt.dot(&col.q);
-            if denom.abs() < 1e-290 {
-                col.stop = StopReason::Breakdown;
-                col.active = false;
-                continue;
-            }
-            let alpha = col.rho / denom;
-            col.x.axpy(alpha, &col.p);
-            col.xt.axpy(alpha.conj(), &col.pt);
-            col.r.axpy(-alpha, &col.q);
-            col.rt.axpy(-alpha.conj(), &col.qt);
-            col.res = col.r.norm() / col.b_norm;
-            col.res_dual = col.rt.norm() / col.bt_norm;
-            cbs_trace::record_iteration(Some(c), iter + 1, col.res);
-            if opts.record_history {
-                col.history.push(col.res);
-                col.dual_history.push(col.res_dual);
-            }
-            let rho_new = col.rt.dot(&col.r);
-            let beta = rho_new / col.rho;
-            col.rho = rho_new;
-            for i in 0..n {
-                col.p[i] = col.r[i] + beta * col.p[i];
-                col.pt[i] = col.rt[i] + beta.conj() * col.pt[i];
-            }
-        }
-    }
-
-    // --- Epilogue, per column, mirroring the scalar solver exactly. -------
-    let columns = cols
-        .into_iter()
-        .map(|mut col| {
-            let mut stop = col.stop;
-            if col.res <= opts.tolerance && col.res_dual <= opts.tolerance {
-                stop = StopReason::Converged;
-            }
-            if !opts.record_history {
-                col.history.push(col.res);
-                col.dual_history.push(col.res_dual);
-            }
-            let primal_conv = col.res <= opts.tolerance;
-            let dual_conv = col.res_dual <= opts.tolerance;
-            BicgResult {
-                x: col.x,
-                dual_x: col.xt,
-                history: ConvergenceHistory {
-                    residuals: col.history,
-                    stop_reason: if primal_conv { StopReason::Converged } else { stop },
-                    matvecs: col.matvecs,
-                },
-                dual_history: ConvergenceHistory {
-                    residuals: col.dual_history,
-                    stop_reason: if dual_conv { StopReason::Converged } else { stop },
-                    matvecs: col.matvecs,
-                },
-            }
-        })
-        .collect();
-    BlockBicgResult { columns, traversals }
-}
-
-/// Per-column recurrence state of the preconditioned block solver: the
-/// plain column state plus the preconditioned residuals `z = M⁻¹ r`,
-/// `z̃ = M⁻† r̃`.
-struct PrecondColumn {
-    x: CVector,
-    xt: CVector,
-    r: CVector,
-    rt: CVector,
-    z: CVector,
-    zt: CVector,
-    p: CVector,
-    pt: CVector,
-    q: CVector,
-    qt: CVector,
-    b_norm: f64,
-    bt_norm: f64,
-    res: f64,
-    res_dual: f64,
-    history: Vec<f64>,
-    dual_history: Vec<f64>,
-    rho: Complex64,
-    matvecs: usize,
-    stop: StopReason,
-    active: bool,
-}
-
-/// [`bicg_dual_block`] with an optional preconditioner `M ≈ A`.
-///
-/// With `m = None` this **delegates to [`bicg_dual_block`]** (bitwise
-/// unchanged).  With a preconditioner every column runs the preconditioned
-/// dual BiCG recurrence of
-/// [`bicg_dual_precond_seeded`](crate::bicg_dual_precond_seeded) — per
-/// column bit-identical to that standalone solver, because the fused
-/// matvecs are bit-identical per column and the preconditioner applies run
-/// through the blocked [`Preconditioner::solve_block`] /
-/// [`Preconditioner::solve_adjoint_block`] entry points, whose contract
-/// (and default) is bitwise equivalence to the per-column solves.
-/// Deflation, seeding and the external stop behave exactly as in the
-/// unpreconditioned block solver.
-pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
-    a: &A,
-    m: Option<&M>,
-    b: &[CVector],
-    b_dual: &[CVector],
-    seeds: Option<&[Option<(&CVector, &CVector)>]>,
-    opts: &SolverOptions,
-    external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
-) -> BlockBicgResult {
-    let Some(m) = m else {
-        return bicg_dual_block(a, b, b_dual, seeds, opts, external_stop);
-    };
     let n = a.dim();
     assert_eq!(m.dim(), n, "preconditioner dimension mismatch");
     let nvecs = b.len();
@@ -389,44 +140,37 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     let mut seed_rt: Vec<CVector> = Vec::new();
     if !seeded.is_empty() {
         let s = seeds.expect("seeded columns imply a seed table");
+        let residuals = |rhs: &[CVector], y_slab: &[Complex64]| -> Vec<CVector> {
+            seeded
+                .iter()
+                .enumerate()
+                .map(|(slot, &c)| {
+                    let mut r = CVector::zeros(n);
+                    for i in 0..n {
+                        r[i] = rhs[c][i] - y_slab[slot * n + i];
+                    }
+                    r
+                })
+                .collect()
+        };
         let mut x_slab = vec![Complex64::ZERO; n * seeded.len()];
         let mut y_slab = vec![Complex64::ZERO; n * seeded.len()];
         for (slot, &c) in seeded.iter().enumerate() {
             let (x0, _) = s[c].expect("listed as seeded");
             assert_eq!(x0.len(), n, "primal seed length mismatch");
-            x_slab[slot * n..(slot + 1) * n].copy_from_slice(x0.as_slice());
+            gather(&mut x_slab, slot, x0);
         }
         a.apply_block(&x_slab, &mut y_slab, seeded.len());
         traversals += weight;
-        seed_r = seeded
-            .iter()
-            .enumerate()
-            .map(|(slot, &c)| {
-                let mut r = CVector::zeros(n);
-                for i in 0..n {
-                    r[i] = b[c][i] - y_slab[slot * n + i];
-                }
-                r
-            })
-            .collect();
+        seed_r = residuals(b, &y_slab);
         for (slot, &c) in seeded.iter().enumerate() {
             let (_, xt0) = s[c].expect("listed as seeded");
             assert_eq!(xt0.len(), n, "dual seed length mismatch");
-            x_slab[slot * n..(slot + 1) * n].copy_from_slice(xt0.as_slice());
+            gather(&mut x_slab, slot, xt0);
         }
         a.apply_adjoint_block(&x_slab, &mut y_slab, seeded.len());
         traversals += weight;
-        seed_rt = seeded
-            .iter()
-            .enumerate()
-            .map(|(slot, &c)| {
-                let mut rt = CVector::zeros(n);
-                for i in 0..n {
-                    rt[i] = b_dual[c][i] - y_slab[slot * n + i];
-                }
-                rt
-            })
-            .collect();
+        seed_rt = residuals(b_dual, &y_slab);
     }
 
     // Initial states per column, then ONE blocked preconditioner pass over
@@ -437,8 +181,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
         .map(|c| {
             assert_eq!(b[c].len(), n, "rhs length mismatch");
             assert_eq!(b_dual[c].len(), n, "dual rhs length mismatch");
-            let seed = seeds.and_then(|s| s[c]);
-            match seed {
+            match seeds.and_then(|s| s[c]) {
                 None => (CVector::zeros(n), CVector::zeros(n), b[c].clone(), b_dual[c].clone(), 0),
                 Some((x0, xt0)) => {
                     let slot = seeded.iter().position(|&s| s == c).expect("seeded slot");
@@ -447,28 +190,25 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
             }
         })
         .collect();
-    let mut r_slab = vec![Complex64::ZERO; n * nvecs];
+    let mut in_slab = vec![Complex64::ZERO; n * nvecs];
     let mut z_slab = vec![Complex64::ZERO; n * nvecs];
     let mut zt_slab = vec![Complex64::ZERO; n * nvecs];
     for (slot, (_, _, r, _, _)) in init.iter().enumerate() {
-        r_slab[slot * n..(slot + 1) * n].copy_from_slice(r.as_slice());
+        gather(&mut in_slab, slot, r);
     }
-    m.solve_block(&r_slab, &mut z_slab, nvecs);
+    m.solve_block(&in_slab, &mut z_slab, nvecs);
     for (slot, (_, _, _, rt, _)) in init.iter().enumerate() {
-        r_slab[slot * n..(slot + 1) * n].copy_from_slice(rt.as_slice());
+        gather(&mut in_slab, slot, rt);
     }
-    m.solve_adjoint_block(&r_slab, &mut zt_slab, nvecs);
+    m.solve_adjoint_block(&in_slab, &mut zt_slab, nvecs);
 
-    let mut cols: Vec<PrecondColumn> = init
+    let mut cols: Vec<Column> = init
         .into_iter()
         .enumerate()
         .map(|(c, (x, xt, r, rt, matvecs))| {
-            let mut z = CVector::zeros(n);
-            let mut zt = CVector::zeros(n);
-            z.as_mut_slice().copy_from_slice(&z_slab[c * n..(c + 1) * n]);
-            zt.as_mut_slice().copy_from_slice(&zt_slab[c * n..(c + 1) * n]);
-            let p = z.clone();
-            let pt = zt.clone();
+            let z = &z_slab[c * n..(c + 1) * n];
+            let p = CVector::from_vec(z.to_vec());
+            let pt = CVector::from_vec(zt_slab[c * n..(c + 1) * n].to_vec());
             let b_norm = b[c].norm().max(1e-300);
             let bt_norm = b_dual[c].norm().max(1e-300);
             let res = r.norm() / b_norm;
@@ -480,18 +220,14 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
                 history.push(res);
                 dual_history.push(res_dual);
             }
-            let rho = rt.dot(&z);
-            PrecondColumn {
+            let rho = dotc(rt.as_slice(), z);
+            Column {
                 x,
                 xt,
                 r,
                 rt,
-                z,
-                zt,
                 p,
                 pt,
-                q: CVector::zeros(n),
-                qt: CVector::zeros(n),
                 b_norm,
                 bt_norm,
                 res,
@@ -507,9 +243,14 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
         .collect();
 
     // --- Lockstep iteration: per-column recurrences, fused matvecs. -------
-    let mut p_slab: Vec<Complex64> = Vec::new();
     let mut q_slab: Vec<Complex64> = Vec::new();
+    let mut qt_slab: Vec<Complex64> = Vec::new();
+    let mut r_slab: Vec<Complex64> = Vec::new();
+    let mut rt_slab: Vec<Complex64> = Vec::new();
     for iter in 0..opts.max_iterations {
+        // Top-of-loop checks, in the exact order of the per-column solver:
+        // convergence, external stop, ρ breakdown.  A column that trips one
+        // freezes in place (deflation) but keeps its slot.
         for col in cols.iter_mut().filter(|c| c.active) {
             if col.res <= opts.tolerance && col.res_dual <= opts.tolerance {
                 col.stop = StopReason::Converged;
@@ -517,8 +258,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
             } else if external_stop.is_some_and(|cb| cb(iter)) {
                 col.stop = StopReason::ExternalStop;
                 col.active = false;
-            } else if !(col.rho.re.is_finite() && col.rho.im.is_finite()) || col.rho.abs() < 1e-290
-            {
+            } else if !usable(col.rho) {
                 col.stop = StopReason::Breakdown;
                 col.active = false;
             }
@@ -528,37 +268,36 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
             break;
         }
 
+        // Fused matvecs over the active columns only.
         let na = active.len();
-        p_slab.clear();
-        p_slab.resize(n * na, Complex64::ZERO);
-        q_slab.clear();
-        q_slab.resize(n * na, Complex64::ZERO);
+        reset(&mut in_slab, n, na);
+        reset(&mut q_slab, n, na);
+        reset(&mut qt_slab, n, na);
         for (slot, &c) in active.iter().enumerate() {
-            p_slab[slot * n..(slot + 1) * n].copy_from_slice(cols[c].p.as_slice());
+            gather(&mut in_slab, slot, &cols[c].p);
         }
-        a.apply_block(&p_slab, &mut q_slab, na);
+        a.apply_block(&in_slab, &mut q_slab, na);
         traversals += weight;
         for (slot, &c) in active.iter().enumerate() {
-            cols[c].q.as_mut_slice().copy_from_slice(&q_slab[slot * n..(slot + 1) * n]);
+            gather(&mut in_slab, slot, &cols[c].pt);
         }
-        for (slot, &c) in active.iter().enumerate() {
-            p_slab[slot * n..(slot + 1) * n].copy_from_slice(cols[c].pt.as_slice());
-        }
-        a.apply_adjoint_block(&p_slab, &mut q_slab, na);
+        a.apply_adjoint_block(&in_slab, &mut qt_slab, na);
         traversals += weight;
-        for (slot, &c) in active.iter().enumerate() {
-            cols[c].qt.as_mut_slice().copy_from_slice(&q_slab[slot * n..(slot + 1) * n]);
-        }
 
-        // Per-column recurrence updates, identical to the preconditioned
-        // scalar solver, with the two triangular applies batched across the
-        // columns that survive the breakdown check so the factor streams
-        // once per iteration instead of once per column.
-        for &c in &active {
+        // Per-column recurrence updates, identical to the scalar solver.  The
+        // fresh residuals of every column that survives the breakdown check
+        // go straight into the preconditioner's input slabs while they are
+        // still in cache.
+        reset(&mut r_slab, n, na);
+        reset(&mut rt_slab, n, na);
+        let mut live: Vec<usize> = Vec::with_capacity(na);
+        for (slot, &c) in active.iter().enumerate() {
             let col = &mut cols[c];
+            let q = &q_slab[slot * n..(slot + 1) * n];
+            let qt = &qt_slab[slot * n..(slot + 1) * n];
             col.matvecs += 2;
-            let denom = col.pt.dot(&col.q);
-            if !(denom.re.is_finite() && denom.im.is_finite()) || denom.abs() < 1e-290 {
+            let denom = dotc(col.pt.as_slice(), q);
+            if !usable(denom) {
                 col.stop = StopReason::Breakdown;
                 col.active = false;
                 continue;
@@ -566,8 +305,8 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
             let alpha = col.rho / denom;
             col.x.axpy(alpha, &col.p);
             col.xt.axpy(alpha.conj(), &col.pt);
-            col.r.axpy(-alpha, &col.q);
-            col.rt.axpy(-alpha.conj(), &col.qt);
+            axpy(-alpha, q, col.r.as_mut_slice());
+            axpy(-alpha.conj(), qt, col.rt.as_mut_slice());
             col.res = col.r.norm() / col.b_norm;
             col.res_dual = col.rt.norm() / col.bt_norm;
             cbs_trace::record_iteration(Some(c), iter + 1, col.res);
@@ -575,38 +314,31 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
                 col.history.push(col.res);
                 col.dual_history.push(col.res_dual);
             }
+            gather(&mut r_slab, live.len(), &col.r);
+            gather(&mut rt_slab, live.len(), &col.rt);
+            live.push(c);
         }
-        let live: Vec<usize> = active.iter().copied().filter(|&c| cols[c].active).collect();
+
+        // The two preconditioner applies, batched across the live columns so
+        // the factor streams once per iteration instead of once per column.
         if live.is_empty() {
             continue;
         }
         let nl = live.len();
-        p_slab.clear();
-        p_slab.resize(n * nl, Complex64::ZERO);
-        q_slab.clear();
-        q_slab.resize(n * nl, Complex64::ZERO);
+        reset(&mut z_slab, n, nl);
+        reset(&mut zt_slab, n, nl);
+        m.solve_block(&r_slab[..n * nl], &mut z_slab, nl);
+        m.solve_adjoint_block(&rt_slab[..n * nl], &mut zt_slab, nl);
         for (slot, &c) in live.iter().enumerate() {
-            p_slab[slot * n..(slot + 1) * n].copy_from_slice(cols[c].r.as_slice());
-        }
-        m.solve_block(&p_slab, &mut q_slab, nl);
-        for (slot, &c) in live.iter().enumerate() {
-            cols[c].z.as_mut_slice().copy_from_slice(&q_slab[slot * n..(slot + 1) * n]);
-        }
-        for (slot, &c) in live.iter().enumerate() {
-            p_slab[slot * n..(slot + 1) * n].copy_from_slice(cols[c].rt.as_slice());
-        }
-        m.solve_adjoint_block(&p_slab, &mut q_slab, nl);
-        for (slot, &c) in live.iter().enumerate() {
-            cols[c].zt.as_mut_slice().copy_from_slice(&q_slab[slot * n..(slot + 1) * n]);
-        }
-        for &c in &live {
             let col = &mut cols[c];
-            let rho_new = col.rt.dot(&col.z);
+            let z = &z_slab[slot * n..(slot + 1) * n];
+            let zt = &zt_slab[slot * n..(slot + 1) * n];
+            let rho_new = dotc(col.rt.as_slice(), z);
             let beta = rho_new / col.rho;
             col.rho = rho_new;
             for i in 0..n {
-                col.p[i] = col.z[i] + beta * col.p[i];
-                col.pt[i] = col.zt[i] + beta.conj() * col.pt[i];
+                col.p[i] = z[i] + beta * col.p[i];
+                col.pt[i] = zt[i] + beta.conj() * col.pt[i];
             }
         }
     }
@@ -647,9 +379,9 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bicg::bicg_dual_seeded;
+    use crate::bicg::bicg_dual;
     use cbs_linalg::{c64, CMatrix};
-    use cbs_sparse::DenseOp;
+    use cbs_sparse::{CooBuilder, CsrMatrix, DenseOp, IdentityOp, Ilu0};
     use rand::SeedableRng;
 
     fn random_diag_dominant(n: usize, seed: u64) -> CMatrix {
@@ -664,6 +396,16 @@ mod tests {
     fn rhs_block(n: usize, nvecs: usize, seed: u64) -> Vec<CVector> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         (0..nvecs).map(|_| CVector::random(n, &mut rng)).collect()
+    }
+
+    fn periodic_tridiagonal(n: usize) -> CsrMatrix {
+        let mut bld = CooBuilder::new(n, n);
+        for i in 0..n {
+            bld.push(i, i, c64(3.0, 0.4));
+            bld.push(i, (i + 1) % n, c64(-1.0, 0.1));
+            bld.push(i, (i + n - 1) % n, c64(-0.9, -0.2));
+        }
+        bld.build()
     }
 
     fn assert_bitwise_eq(a: &BicgResult, b: &BicgResult) {
@@ -681,13 +423,14 @@ mod tests {
         let n = 30;
         let a = random_diag_dominant(n, 301);
         let op = DenseOp::new(a);
+        let id = IdentityOp::new(n);
         let b = rhs_block(n, 4, 302);
         let bd = rhs_block(n, 4, 303);
         let opts = SolverOptions::default().with_tolerance(1e-11);
-        let block = bicg_dual_block(&op, &b, &bd, None, &opts, None);
+        let block = bicg_dual_block(&op, &id, &b, &bd, None, &opts, None);
         assert!(block.all_converged());
         for (c, col) in block.columns.iter().enumerate() {
-            let single = bicg_dual_seeded(&op, &b[c], &bd[c], None, &opts, None);
+            let single = bicg_dual(&op, &id, &b[c], &bd[c], None, &opts, None);
             assert_bitwise_eq(col, &single);
         }
         // Deflation: columns converge at different iterations, yet the
@@ -702,17 +445,18 @@ mod tests {
         let n = 24;
         let a = random_diag_dominant(n, 304);
         let op = DenseOp::new(a);
+        let id = IdentityOp::new(n);
         let b = rhs_block(n, 3, 305);
         let opts = SolverOptions::default().with_tolerance(1e-11);
         // Mixed seeding: column 1 warm (from its own cold solution), the
         // rest cold.
-        let cold = bicg_dual_block(&op, &b, &b, None, &opts, None);
+        let cold = bicg_dual_block(&op, &id, &b, &b, None, &opts, None);
         let donor = &cold.columns[1];
         let seeds: Vec<Option<(&CVector, &CVector)>> =
             vec![None, Some((&donor.x, &donor.dual_x)), None];
-        let warm = bicg_dual_block(&op, &b, &b, Some(&seeds), &opts, None);
+        let warm = bicg_dual_block(&op, &id, &b, &b, Some(&seeds), &opts, None);
         for (c, col) in warm.columns.iter().enumerate() {
-            let single = bicg_dual_seeded(&op, &b[c], &b[c], seeds[c], &opts, None);
+            let single = bicg_dual(&op, &id, &b[c], &b[c], seeds[c], &opts, None);
             assert_bitwise_eq(col, &single);
         }
         // The exactly-seeded column converges without iterating.
@@ -725,12 +469,13 @@ mod tests {
         let n = 26;
         let a = random_diag_dominant(n, 306);
         let op = DenseOp::new(a);
+        let id = IdentityOp::new(n);
         let b = rhs_block(n, 3, 307);
         let opts = SolverOptions::default().with_tolerance(1e-14);
         let stop = |iter: usize| iter >= 4;
-        let block = bicg_dual_block(&op, &b, &b, None, &opts, Some(&stop));
+        let block = bicg_dual_block(&op, &id, &b, &b, None, &opts, Some(&stop));
         for (c, col) in block.columns.iter().enumerate() {
-            let single = bicg_dual_seeded(&op, &b[c], &b[c], None, &opts, Some(&stop));
+            let single = bicg_dual(&op, &id, &b[c], &b[c], None, &opts, Some(&stop));
             assert_bitwise_eq(col, &single);
             assert!(col.history.iterations() <= 5);
         }
@@ -748,7 +493,7 @@ mod tests {
         let op = DenseOp::new(a);
         let b = rhs_block(n, nvecs, 309);
         let opts = SolverOptions { tolerance: 1e-300, max_iterations: 12, record_history: false };
-        let block = bicg_dual_block(&op, &b, &b, None, &opts, None);
+        let block = bicg_dual_block(&op, &IdentityOp::new(n), &b, &b, None, &opts, None);
         assert_eq!(block.traversals, 2 * 12);
         assert_eq!(block.total_matvecs(), nvecs * 2 * 12);
         assert_eq!(block.total_matvecs(), nvecs * block.traversals);
@@ -756,31 +501,22 @@ mod tests {
 
     #[test]
     fn preconditioned_block_matches_preconditioned_per_column_solves() {
-        use crate::bicg::bicg_dual_precond_seeded;
-        use cbs_sparse::{CooBuilder, Ilu0};
         let n = 40;
-        let mut bld = CooBuilder::new(n, n);
-        for i in 0..n {
-            bld.push(i, i, c64(3.0, 0.4));
-            bld.push(i, (i + 1) % n, c64(-1.0, 0.1));
-            bld.push(i, (i + n - 1) % n, c64(-0.9, -0.2));
-        }
-        let a = bld.build();
+        let a = periodic_tridiagonal(n);
         let ilu = Ilu0::from_csr(&a);
         let b = rhs_block(n, 4, 311);
         let bd = rhs_block(n, 4, 312);
         let opts = SolverOptions::default().with_tolerance(1e-11);
 
         // Mixed seeding to exercise the seeded preconditioned start.
-        let cold = bicg_dual_block_precond(&a, Some(&ilu), &b, &bd, None, &opts, None);
+        let cold = bicg_dual_block(&a, &ilu, &b, &bd, None, &opts, None);
         assert!(cold.all_converged());
         let donor = &cold.columns[2];
         let seeds: Vec<Option<(&CVector, &CVector)>> =
             vec![None, None, Some((&donor.x, &donor.dual_x)), None];
-        let warm = bicg_dual_block_precond(&a, Some(&ilu), &b, &bd, Some(&seeds), &opts, None);
+        let warm = bicg_dual_block(&a, &ilu, &b, &bd, Some(&seeds), &opts, None);
         for (c, col) in warm.columns.iter().enumerate() {
-            let single =
-                bicg_dual_precond_seeded(&a, Some(&ilu), &b[c], &bd[c], seeds[c], &opts, None);
+            let single = bicg_dual(&a, &ilu, &b[c], &bd[c], seeds[c], &opts, None);
             assert_bitwise_eq(col, &single);
         }
         assert_eq!(warm.columns[2].history.iterations(), 0);
@@ -790,18 +526,22 @@ mod tests {
     }
 
     #[test]
-    fn none_preconditioner_block_delegates_bitwise() {
-        let a = random_diag_dominant(18, 313);
+    fn non_finite_operator_breaks_down_within_one_iteration() {
+        let n = 14;
+        let mut a = random_diag_dominant(n, 317);
+        a[(2, 9)] = c64(0.0, f64::NAN);
         let op = DenseOp::new(a);
-        let b = rhs_block(18, 3, 314);
+        let id = IdentityOp::new(n);
+        let b = rhs_block(n, 3, 318);
         let opts = SolverOptions::default();
-        let plain = bicg_dual_block(&op, &b, &b, None, &opts, None);
-        let via =
-            bicg_dual_block_precond::<_, cbs_sparse::Ilu0>(&op, None, &b, &b, None, &opts, None);
-        assert_eq!(plain.traversals, via.traversals);
-        for (p, v) in plain.columns.iter().zip(&via.columns) {
-            assert_bitwise_eq(p, v);
+        let block = bicg_dual_block(&op, &id, &b, &b, None, &opts, None);
+        for (c, col) in block.columns.iter().enumerate() {
+            assert_eq!(col.history.stop_reason, StopReason::Breakdown);
+            assert_eq!(col.dual_history.stop_reason, StopReason::Breakdown);
+            assert!(col.history.iterations() <= 1, "ran {} iterations", col.history.iterations());
+            assert_bitwise_eq(col, &bicg_dual(&op, &id, &b[c], &b[c], None, &opts, None));
         }
+        assert_eq!(block.traversals, 2);
     }
 
     #[test]
@@ -829,10 +569,11 @@ mod tests {
         }
         let a = random_diag_dominant(16, 315);
         let op = DenseOp::new(a);
+        let id = IdentityOp::new(16);
         let b = rhs_block(16, 3, 316);
         let opts = SolverOptions { tolerance: 1e-300, max_iterations: 7, record_history: false };
-        let plain = bicg_dual_block(&op, &b, &b, None, &opts, None);
-        let weighted = bicg_dual_block(&Weighted(&op), &b, &b, None, &opts, None);
+        let plain = bicg_dual_block(&op, &id, &b, &b, None, &opts, None);
+        let weighted = bicg_dual_block(&Weighted(&op), &id, &b, &b, None, &opts, None);
         assert_eq!(plain.traversals, 2 * 7);
         assert_eq!(weighted.traversals, 3 * 2 * 7);
         assert_eq!(plain.total_matvecs(), weighted.total_matvecs());
@@ -842,7 +583,8 @@ mod tests {
     fn empty_block_is_a_no_op() {
         let a = random_diag_dominant(8, 310);
         let op = DenseOp::new(a);
-        let out = bicg_dual_block(&op, &[], &[], None, &SolverOptions::default(), None);
+        let opts = SolverOptions::default();
+        let out = bicg_dual_block(&op, &IdentityOp::new(8), &[], &[], None, &opts, None);
         assert!(out.columns.is_empty());
         assert_eq!(out.traversals, 0);
     }

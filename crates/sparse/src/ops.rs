@@ -100,7 +100,8 @@ pub trait LinearOperator: Sync {
 }
 
 /// Approximate inverse `M ≈ A⁻¹` applied as a solve, together with its
-/// adjoint — the seam the preconditioned dual-BiCG variants consume.
+/// adjoint — the seam the dual-BiCG solvers consume (`IdentityOp` is the
+/// "no preconditioner" case).
 ///
 /// The adjoint solve is what keeps the paper's dual trick intact: with
 /// `M ≈ P(z)` (e.g. an ILU(0) of the assembled operator), `M† ≈ P(z)† =
@@ -232,6 +233,30 @@ impl LinearOperator for IdentityOp {
         assert_eq!(x.len(), self.n * nvecs, "apply_adjoint_block: x slab length mismatch");
         assert_eq!(y.len(), self.n * nvecs, "apply_adjoint_block: y slab length mismatch");
         y.copy_from_slice(x);
+    }
+}
+
+/// The identity as a preconditioner: `z = r` (and `z = r` for the adjoint).
+/// Handing it to the preconditioned BiCG solvers runs plain BiCG bit for
+/// bit, because every preconditioned residual is an exact copy of the
+/// residual.
+impl Preconditioner for IdentityOp {
+    fn dim(&self) -> usize {
+        self.n
+    }
+    fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
+        z.copy_from_slice(r);
+    }
+    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
+        z.copy_from_slice(r);
+    }
+    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        assert_eq!(r.len(), self.n * nvecs, "solve_block: r slab length mismatch");
+        z.copy_from_slice(r);
+    }
+    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        assert_eq!(r.len(), self.n * nvecs, "solve_adjoint_block: r slab length mismatch");
+        z.copy_from_slice(r);
     }
 }
 

@@ -17,7 +17,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cbs_core::{AutoCell, BlockPolicy, CbsPoint, PrecondPolicy};
+use cbs_core::{AutoCell, CbsPoint, PrecondPolicy};
 use cbs_linalg::{c64, CVector};
 
 use crate::sweep::{EnergyOrigin, EnergyRecord, EnergyStats, SeedTable};
@@ -27,8 +27,6 @@ use crate::sweep::{EnergyOrigin, EnergyRecord, EnergyStats, SeedTable};
 /// bit-deterministic per cell; only `wall_ns` is a measurement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeSample {
-    /// Probed job granularity.
-    pub block: BlockPolicy,
     /// Probed operator representation.
     pub precond: PrecondPolicy,
     /// BiCG iterations of the probe solve.
@@ -42,14 +40,12 @@ pub struct ProbeSample {
 }
 
 /// The committed auto-tuning decision of a sweep: the selected policy cell
-/// plus the probe measurements it was derived from.  Serialized in the v5
+/// plus the probe measurements it was derived from.  Serialized in the
 /// checkpoint so kill/resume *replays* the decision instead of re-probing
 /// — the replayed sweep is bit-identical to the uninterrupted one even
 /// though probe wall-clocks are not reproducible.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AutoDecision {
-    /// Committed job granularity.
-    pub block: BlockPolicy,
     /// Committed operator representation / preconditioning.
     pub precond: PrecondPolicy,
     /// Committed slice count (1 = single contour).
@@ -62,7 +58,7 @@ impl AutoDecision {
     /// The committed policy cell, in the form
     /// [`cbs_core::SsConfig::resolve_auto`] consumes.
     pub fn cell(&self) -> AutoCell {
-        AutoCell { block: self.block, precond: self.precond, slices: self.slices }
+        AutoCell { precond: self.precond, slices: self.slices }
     }
 }
 
@@ -73,7 +69,8 @@ pub struct SweepCheckpoint {
     /// ([`crate::SweepConfig::fingerprint`]).
     pub fingerprint: Vec<u64>,
     /// The committed auto-tuning decision, when the sweep ran with
-    /// `SsConfig::auto()` / `CBS_AUTO=1` (v5).  Resume replays this cell
+    /// `SsConfig::auto()` / `CBS_AUTO=1` (v5 and later).  Resume replays
+    /// this cell
     /// instead of re-probing.
     pub auto: Option<AutoDecision>,
     /// The initial (pre-refinement) energy grid, ascending.
@@ -141,10 +138,12 @@ impl std::error::Error for CheckpointError {}
 //       auto-tuning, the committed cell — a v4 reader would choke on the
 //       section and a v4 writer cannot carry the decision resume needs to
 //       replay, so the version gates both directions.
+//   v6  one job granularity: the `cell` and `sample` lines of the auto
+//       section lost their block-policy field.
 // Older checkpoints are rejected with a dedicated
 // [`CheckpointError::IncompatibleVersion`] rather than read with silently
 // zeroed or misaligned counters.
-const MAGIC: &str = "cbs-sweep-checkpoint v5";
+const MAGIC: &str = "cbs-sweep-checkpoint v6";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -221,19 +220,12 @@ impl SweepCheckpoint {
             }
             Some(d) => {
                 let _ = writeln!(out, "auto 1");
-                let _ = writeln!(
-                    out,
-                    "cell {:x} {:x} {:x}",
-                    d.block as u64,
-                    d.precond.trace_code(),
-                    d.slices
-                );
+                let _ = writeln!(out, "cell {:x} {:x}", d.precond.trace_code(), d.slices);
                 let _ = writeln!(out, "probe {:x}", d.probe.len());
                 for s in &d.probe {
                     let _ = writeln!(
                         out,
-                        "sample {:x} {:x} {:x} {:x} {:x} {:x}",
-                        s.block as u64,
+                        "sample {:x} {:x} {:x} {:x} {:x}",
                         s.precond.trace_code(),
                         s.iterations,
                         s.traversals,
@@ -348,9 +340,6 @@ impl SweepCheckpoint {
         let mut t = lines.expect("auto")?;
         let auto = if t.bool()? {
             let mut t = lines.expect("cell")?;
-            let block_idx = t.u64()?;
-            let block = BlockPolicy::from_index(block_idx)
-                .ok_or_else(|| err(format!("unknown block policy index `{block_idx}`")))?;
             let precond_idx = t.u64()?;
             let precond = PrecondPolicy::from_index(precond_idx)
                 .ok_or_else(|| err(format!("unknown precond policy index `{precond_idx}`")))?;
@@ -360,14 +349,10 @@ impl SweepCheckpoint {
             let mut probe = Vec::with_capacity(np);
             for _ in 0..np {
                 let mut t = lines.expect("sample")?;
-                let block_idx = t.u64()?;
-                let block = BlockPolicy::from_index(block_idx)
-                    .ok_or_else(|| err(format!("unknown block policy index `{block_idx}`")))?;
                 let precond_idx = t.u64()?;
                 let precond = PrecondPolicy::from_index(precond_idx)
                     .ok_or_else(|| err(format!("unknown precond policy index `{precond_idx}`")))?;
                 probe.push(ProbeSample {
-                    block,
                     precond,
                     iterations: t.u64()?,
                     traversals: t.u64()?,
@@ -375,7 +360,7 @@ impl SweepCheckpoint {
                     wall_ns: t.u64()?,
                 });
             }
-            Some(AutoDecision { block, precond, slices, probe })
+            Some(AutoDecision { precond, slices, probe })
         } else {
             None
         };
@@ -627,12 +612,12 @@ mod tests {
         }
         // The v2 layout (pre-`operator_assemblies`) is likewise refused up
         // front instead of being parsed with misaligned counters.
-        let v2 = sample().serialize_to_string().replacen("v5", "v2", 1);
+        let v2 = sample().serialize_to_string().replacen("v6", "v2", 1);
         let err = SweepCheckpoint::parse(&v2).unwrap_err();
         assert!(matches!(err, CheckpointError::IncompatibleVersion { .. }));
         // And v3 (pre-slicing): its fingerprint lacks the slice-policy
         // fields and its seed tables predate the slice-major layout.
-        let v3 = sample().serialize_to_string().replacen("v5", "v3", 1);
+        let v3 = sample().serialize_to_string().replacen("v6", "v3", 1);
         let err = SweepCheckpoint::parse(&v3).unwrap_err();
         assert!(matches!(err, CheckpointError::IncompatibleVersion { .. }));
         // The message tells the operator what to do.
@@ -642,18 +627,18 @@ mod tests {
     }
 
     #[test]
-    fn v4_checkpoints_are_refused_and_the_message_names_the_version() {
-        // v4 predates the auto section (and the auto fingerprint bits): it
-        // must hit the dedicated incompatible-version path, and the error
-        // message must name the version found so the operator knows which
-        // file is stale.
-        let v4 = sample().serialize_to_string().replacen("v5", "v4", 1);
-        match SweepCheckpoint::parse(&v4) {
+    fn v5_checkpoints_are_refused_and_the_message_names_the_version() {
+        // v5 auto sections carry a block-policy field per cell and sample
+        // line: it must hit the dedicated incompatible-version path, and
+        // the error message must name the version found so the operator
+        // knows which file is stale.
+        let v5 = sample().serialize_to_string().replacen("v6", "v5", 1);
+        match SweepCheckpoint::parse(&v5) {
             Err(CheckpointError::IncompatibleVersion { ref found }) => {
-                assert_eq!(found, "cbs-sweep-checkpoint v4");
+                assert_eq!(found, "cbs-sweep-checkpoint v5");
                 let msg = CheckpointError::IncompatibleVersion { found: found.clone() }.to_string();
-                assert!(msg.contains("cbs-sweep-checkpoint v4"), "{msg}");
                 assert!(msg.contains("cbs-sweep-checkpoint v5"), "{msg}");
+                assert!(msg.contains("cbs-sweep-checkpoint v6"), "{msg}");
             }
             other => panic!("expected IncompatibleVersion, got {other:?}"),
         }
@@ -663,12 +648,10 @@ mod tests {
     fn auto_decision_round_trips_exactly() {
         let mut cp = sample();
         cp.auto = Some(AutoDecision {
-            block: BlockPolicy::PerNode,
             precond: PrecondPolicy::AssembledIlu0,
             slices: 1,
             probe: vec![
                 ProbeSample {
-                    block: BlockPolicy::PerNode,
                     precond: PrecondPolicy::MatrixFree,
                     iterations: 3090,
                     traversals: 4686,
@@ -676,7 +659,6 @@ mod tests {
                     wall_ns: 120_000_000,
                 },
                 ProbeSample {
-                    block: BlockPolicy::PerNode,
                     precond: PrecondPolicy::AssembledIlu0,
                     iterations: 1033,
                     traversals: 533,
@@ -690,7 +672,7 @@ mod tests {
         assert_eq!(back.auto, cp.auto);
         assert_eq!(back.auto.as_ref().unwrap().cell().precond, PrecondPolicy::AssembledIlu0);
         // A corrupted policy discriminant is malformed, not silently mapped.
-        let bad = text.replacen("cell 1 2 1", "cell 1 9 1", 1);
+        let bad = text.replacen("cell 2 1", "cell 9 1", 1);
         assert!(matches!(SweepCheckpoint::parse(&bad), Err(CheckpointError::Malformed(_))));
     }
 }

@@ -98,9 +98,7 @@ impl SweepConfig {
             self.ss.majority_stop as u64,
             // The precond policy changes the floating-point trajectory
             // (assembled arithmetic, ILU-preconditioned recurrences), so a
-            // resume across it would silently change results; the block
-            // policy stays excluded because its results are bitwise
-            // policy-invariant.
+            // resume across it would silently change results.
             self.ss.precond as u64,
             // The slice policy likewise changes the trajectory for S > 1
             // (different node sets, per-slice subspaces and source blocks)

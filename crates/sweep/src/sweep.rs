@@ -23,8 +23,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 
 use cbs_core::{
-    classify_point, extract_from_moments, extract_sliced, solve_qep_with, BlockPolicy, CbsPoint,
-    CbsStatistics, ComplexBandStructure, PrecondPolicy, QepProblem, SlicedPlan, SsConfig,
+    classify_point, extract_from_moments, extract_sliced, solve_qep_with, CbsPoint, CbsStatistics,
+    ComplexBandStructure, PrecondPolicy, QepProblem, SlicedPlan, SsConfig,
 };
 use cbs_dft::BandStructure;
 use cbs_linalg::CVector;
@@ -43,8 +43,7 @@ use crate::pool::{solve_round, SolveGroup};
 /// displaces the incumbent when its predicted wall-clock wins by this
 /// fraction, so probe timing jitter below the margin cannot flip the
 /// committed decision (the measured gaps between cells — ILU(0) roughly
-/// halving the assembled wall, per-node ~20% under per-rhs — are well
-/// above it).
+/// halving the assembled wall — are well above it).
 const AUTO_MARGIN: f64 = 0.10;
 
 /// Largest slice count the auto-tuning slice tuner will consider.
@@ -67,7 +66,7 @@ fn probe_memo(
     MEMO.get_or_init(|| std::sync::Mutex::new(Vec::new()))
 }
 
-/// A full `(x, x̃)` solution table in engine job order
+/// A full `(x, x̃)` solution table in pool job order
 /// (`point_index * N_rh + rhs_index`) — the currency of warm-starting: each
 /// completed energy donates its table, each new energy seeds from the
 /// nearest donor.
@@ -94,13 +93,13 @@ pub enum EnergyOrigin {
 pub struct EnergyStats {
     /// Primal BiCG iterations over the energy's solves.
     pub bicg_iterations: usize,
-    /// Operator applications over the energy's solves (matvec-equivalents;
-    /// identical under every `BlockPolicy`).
+    /// Operator applications over the energy's solves (matvec-equivalents:
+    /// the per-column work performed).
     pub matvecs: usize,
     /// Operator-storage traversals actually performed (fused block applies
     /// count the operator's `traversal_weight`; up to `N_rh`x below
-    /// [`matvecs`](Self::matvecs) under `BlockPolicy::PerNode`, and 3x
-    /// fewer per apply under the assembled operator).
+    /// [`matvecs`](Self::matvecs), and 3x fewer per apply under the
+    /// assembled operator).
     pub operator_traversals: usize,
     /// Numeric refills of the assembled `P(z)` pattern (ILU(0)
     /// factorizations included); zero under `PrecondPolicy::MatrixFree`.
@@ -428,8 +427,7 @@ impl<'a> EnergySweep<'a> {
         // Auto-tuning joins the resume contract: the flag itself (an auto
         // and a fixed sweep of the same nominal config must not share
         // checkpoints), and, when on, the committed arithmetic-changing
-        // policies (precond, slices — block is bitwise-interchangeable and
-        // stays out, matching the fixed-config fingerprint rules).
+        // policies (precond, slices).
         fingerprint.push(auto_enabled as u64);
         if let Some(d) = &decision {
             fingerprint.push(d.precond.trace_code() as u64);
@@ -573,7 +571,7 @@ impl<'a> EnergySweep<'a> {
     /// sweep of the same workload in a process derives its decision from
     /// one consistent sample set — serial and rayon runs of the same
     /// system commit the *same* cell; and the decision is recorded in the
-    /// v5 checkpoint (so kill/resume *replays* it rather than re-probing,
+    /// checkpoint (so kill/resume *replays* it rather than re-probing,
     /// across process boundaries where the memo cannot reach).  Probe
     /// solves are throwaway — their solutions never enter the warm-start
     /// bank, so an auto sweep stays bit-identical to the fixed
@@ -581,24 +579,20 @@ impl<'a> EnergySweep<'a> {
     fn calibration_probe(&self, energy: f64, n_energies: usize) -> AutoDecision {
         let n = self.h00.dim();
         let nominal = self.config.ss;
-        let nnz = self.pattern.as_ref().map_or(n * n, cbs_sparse::AssembledPattern::nnz);
-        // Candidate cells, cheapest-to-assemble first (the fixed priority
-        // order the hysteresis respects).  With a pattern attached the
-        // interesting axis is the preconditioner ladder; without one every
-        // assembled policy would silently fall back to matrix-free, so the
-        // axis left is the block granularity.
-        let candidates: Vec<(BlockPolicy, PrecondPolicy)> = if self.pattern.is_some() {
-            vec![
-                (nominal.block, PrecondPolicy::MatrixFree),
-                (nominal.block, PrecondPolicy::Assembled),
-                (nominal.block, PrecondPolicy::AssembledIlu0),
-            ]
-        } else {
-            vec![
-                (BlockPolicy::PerNode, PrecondPolicy::MatrixFree),
-                (BlockPolicy::PerRhs, PrecondPolicy::MatrixFree),
-            ]
+        // Without a pattern every assembled policy falls back to matrix-free,
+        // so one cell is left: commit it without probing.
+        let Some(pattern) = self.pattern.as_ref() else {
+            return AutoDecision {
+                precond: PrecondPolicy::MatrixFree,
+                slices: 1,
+                probe: Vec::new(),
+            };
         };
+        let nnz = pattern.nnz();
+        // Candidate cells, cheapest-to-assemble first (the fixed priority
+        // order the hysteresis respects): the preconditioner ladder.
+        let candidates =
+            [PrecondPolicy::MatrixFree, PrecondPolicy::Assembled, PrecondPolicy::AssembledIlu0];
         // The reduced probe configuration: enough quadrature and sources to
         // exercise the real kernels, cheap enough that the probe stays a
         // few percent of the sweep (the bench gate holds the auto row to
@@ -627,10 +621,7 @@ impl<'a> EnergySweep<'a> {
             energy.to_bits(),
             self.period.to_bits(),
         ];
-        for &(block, precond) in &candidates {
-            key.push(block as u64);
-            key.push(precond.trace_code() as u64);
-        }
+        key.extend(candidates.iter().map(|p| p.trace_code() as u64));
         let memoized = probe_memo()
             .lock()
             .unwrap()
@@ -647,7 +638,6 @@ impl<'a> EnergySweep<'a> {
             let best = model.best_cell(&workload, AUTO_MARGIN)?;
             let slices = model.tune_slices(best, &workload, AUTO_MAX_SLICES, AUTO_MARGIN);
             Some(cbs_core::AutoCell {
-                block: if best.per_rhs { BlockPolicy::PerRhs } else { BlockPolicy::PerNode },
                 precond: PrecondPolicy::from_index(best.precond as u64)?,
                 slices: slices as usize,
             })
@@ -656,12 +646,7 @@ impl<'a> EnergySweep<'a> {
         // policy cell, warn-once); either way the *resolved* cell is what
         // the checkpoint commits, so resume replays exactly what ran.
         let resolved = nominal.resolve_auto(cell);
-        AutoDecision {
-            block: resolved.block,
-            precond: resolved.precond,
-            slices: resolved.slice.slice_count(),
-            probe,
-        }
+        AutoDecision { precond: resolved.precond, slices: resolved.slice.slice_count(), probe }
     }
 
     /// Measure every candidate cell with one throwaway probe solve each and
@@ -670,7 +655,7 @@ impl<'a> EnergySweep<'a> {
     fn measure_probe_candidates(
         &self,
         energy: f64,
-        candidates: &[(BlockPolicy, PrecondPolicy)],
+        candidates: &[PrecondPolicy],
         probe_ss: &SsConfig,
         n: usize,
         nnz: usize,
@@ -678,8 +663,8 @@ impl<'a> EnergySweep<'a> {
     ) -> (Vec<CalibrationSample>, Vec<ProbeSample>) {
         let mut samples = Vec::with_capacity(candidates.len());
         let mut probe = Vec::with_capacity(candidates.len());
-        for &(block, precond) in candidates {
-            let cfg = SsConfig { block, precond, ..*probe_ss };
+        for &precond in candidates {
+            let cfg = SsConfig { precond, ..*probe_ss };
             let problem = QepProblem::new(self.h00, self.h01, energy, self.period);
             let problem = match &self.pattern {
                 Some(pattern) => problem.with_pattern(pattern),
@@ -703,11 +688,7 @@ impl<'a> EnergySweep<'a> {
             }
             let stage_wall = |stage: cbs_trace::Stage| agg.as_ref().map_or(0, |a| a.wall(stage));
             samples.push(CalibrationSample {
-                cell: CellId {
-                    per_rhs: block == BlockPolicy::PerRhs,
-                    precond: precond.trace_code(),
-                    slices: 1,
-                },
+                cell: CellId { precond: precond.trace_code(), slices: 1 },
                 dimension: n,
                 nnz,
                 n_rh: cfg.n_rh,
@@ -722,7 +703,6 @@ impl<'a> EnergySweep<'a> {
                 extraction_wall_ns: stage_wall(cbs_trace::Stage::Extraction),
             });
             probe.push(ProbeSample {
-                block,
                 precond,
                 iterations: result.total_bicg_iterations as u64,
                 traversals: result.total_traversals as u64,

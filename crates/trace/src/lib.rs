@@ -75,8 +75,8 @@ pub enum Stage {
     /// Sparse / low-rank operator application (CSR gather-scatter, block
     /// SpMM tiles, projector terms).
     Kernel = 3,
-    /// One dual-BiCG solve (a `(node, rhs)` job or a fused per-node block
-    /// job).
+    /// One shifted-solve job: the fused block dual-BiCG solve of all
+    /// right-hand sides of one quadrature node.
     Solve = 4,
     /// Eigenpair extraction from accumulated moments (Hankel SVD, projected
     /// eigenproblem, residual filtering).
@@ -497,9 +497,9 @@ impl Drop for CtxScope {
     }
 }
 
-/// The tracing capability plumbed through `ShiftedSolveEngine`,
-/// `solve_pool` and `EnergySweep`: a `Copy` context carrier that is a
-/// no-op when tracing is disabled.
+/// The tracing capability plumbed through `solve_pool` (every shifted
+/// solve, single contour, sliced or swept) and `EnergySweep`: a `Copy`
+/// context carrier that is a no-op when tracing is disabled.
 ///
 /// A handle is resolved once per solve ([`TraceHandle::resolve`]) on the
 /// dispatching thread and then moved into job closures, where

@@ -7,8 +7,10 @@
 //!   only thing that feeds back;
 //! * the probe→commit decision is deterministic across the serial and
 //!   rayon executors (the probe itself always runs serially) and replays
-//!   bit-identically on kill/resume (the decision is recorded in the v5
+//!   bit-identically on kill/resume (the decision is recorded in the sweep
 //!   checkpoint, never re-probed);
+//! * without an attached pattern only the matrix-free cell exists, so the
+//!   sweep commits it without probing;
 //! * at bench scale the cost model never selects `S > 1` — the known
 //!   crossover fact from `BENCH_sweep.json` (a 2-sector partition costs
 //!   ~2.9x wall because the solve volume at least doubles while extraction
@@ -116,8 +118,35 @@ fn auto_sweep_is_bitwise_the_fixed_cell_it_selects() {
     assert_same_cbs(&auto_run, &fixed_run, "auto vs selected fixed cell");
 }
 
+/// Without an attached pattern every assembled policy falls back to
+/// matrix-free: the sweep commits that one cell without probing, and the
+/// result is bitwise the fixed matrix-free sweep.
+#[test]
+fn auto_sweep_without_a_pattern_commits_matrix_free_without_probing() {
+    let h = fig6_hamiltonian();
+    let h00 = h.h00();
+    let h01 = h.h01();
+    let run = |ss: SsConfig| {
+        EnergySweep::new(
+            &h00,
+            &h01,
+            h.period(),
+            SweepConfig { initial_round: 2, ..SweepConfig::new(ss) },
+        )
+        .run(&fig6_energies(), &SerialExecutor)
+    };
+    let auto_run = run(auto_ss());
+    let decision = auto_run.auto.clone().expect("auto sweep must commit a decision");
+    assert_eq!(decision.precond, cbs::core::PrecondPolicy::MatrixFree);
+    assert_eq!(decision.slices, 1);
+    assert!(decision.probe.is_empty(), "a single-cell decision must not probe");
+    let fixed_run = run(auto_ss().resolve_auto(Some(decision.cell())));
+    assert!(fixed_run.auto.is_none());
+    assert_same_cbs(&auto_run, &fixed_run, "pattern-free auto vs matrix-free");
+}
+
 /// (b) The probe→commit decision is deterministic across executors, and a
-/// killed auto sweep resumes from its v5 checkpoint bit-identically —
+/// killed auto sweep resumes from its checkpoint bit-identically —
 /// replaying the recorded decision instead of re-probing.
 #[test]
 fn auto_decision_is_deterministic_across_executors_and_kill_resume() {
@@ -242,7 +271,7 @@ fn cbs_auto_env_knob_drives_the_sweep() {
 #[test]
 fn bench_scale_model_never_selects_slices() {
     // The tracked bench numbers: Al(100) 8-energy cold ILU(0) sweep.
-    let cell = CellId { per_rhs: false, precond: 2, slices: 1 };
+    let cell = CellId { precond: 2, slices: 1 };
     let sample = CalibrationSample {
         cell,
         dimension: 1620,

@@ -278,9 +278,10 @@ fn resume_is_bit_identical_under_seed_bank_eviction() {
 }
 
 /// A sliced (partitioned-contour) sweep killed mid-round resumes from its
-/// v5 checkpoint to results bit-identical with an uninterrupted run, on
-/// both executors; the slice policy is part of the resume fingerprint; and
-/// pre-slicing v3 checkpoints are refused with the dedicated
+/// checkpoint to results bit-identical with an uninterrupted run, on both
+/// executors; the slice policy is part of the resume fingerprint; and
+/// pre-slicing v3 checkpoints (like v5 ones, whose auto section still
+/// carries a block-policy field) are refused with the dedicated
 /// `IncompatibleVersion` error instead of a mis-split seed bank.
 #[test]
 fn sliced_sweep_kill_resume_is_bit_identical_and_v3_is_refused() {
@@ -338,16 +339,19 @@ fn sliced_sweep_kill_resume_is_bit_identical_and_v3_is_refused() {
         }
     }
 
-    // The checkpoint on disk is v5; a v3 (pre-slicing) one is refused with
-    // the dedicated error, not parsed into a mis-split seed bank.
+    // The checkpoint on disk is v6; a v3 (pre-slicing) or v5 one is
+    // refused with the dedicated error, not parsed into a mis-split seed
+    // bank.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v5"), "unexpected magic in {path:?}");
-    let v3 = text.replacen("cbs-sweep-checkpoint v5", "cbs-sweep-checkpoint v3", 1);
-    match cbs::sweep::SweepCheckpoint::parse(&v3) {
-        Err(cbs::sweep::CheckpointError::IncompatibleVersion { found }) => {
-            assert_eq!(found, "cbs-sweep-checkpoint v3");
+    assert!(text.starts_with("cbs-sweep-checkpoint v6"), "unexpected magic in {path:?}");
+    for old in ["v3", "v5"] {
+        let stale = text.replacen("v6", old, 1);
+        match cbs::sweep::SweepCheckpoint::parse(&stale) {
+            Err(cbs::sweep::CheckpointError::IncompatibleVersion { found }) => {
+                assert_eq!(found, format!("cbs-sweep-checkpoint {old}"));
+            }
+            other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
-        other => panic!("v3 checkpoint accepted or misclassified: {other:?}"),
     }
     // Resuming the sliced sweep under a different slice count is refused
     // through the fingerprint.
